@@ -47,13 +47,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the pooled-event-heap oracle property test under -race, plus
-# the zero-allocation tests without -race (AllocsPerRun is meaningless under
-# the race detector's instrumented allocator, so those tests skip themselves
-# there and must also run uninstrumented).
+# substrate: the event-heap differential-oracle tests and the targeted
+# batch/boundary/far-future queue tests under -race, plus the zero-allocation
+# tests without -race (AllocsPerRun is meaningless under the race detector's
+# instrumented allocator, so those tests skip themselves there and must also
+# run uninstrumented).
 substrate:
-	$(GO) test -race -run 'TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestWheel' ./internal/sim/
-	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestWheelSteadyStateAllocFree' ./internal/sim/
+	$(GO) test -race -run 'TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineMatchesReferenceEngine|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary|TestEngineFarFutureCancel|TestEngineSteadyStateAllocFreeMixedDeltas' ./internal/sim/
+	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestEngineSteadyStateAllocFreeMixedDeltas' ./internal/sim/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume

@@ -43,7 +43,6 @@ import (
 	"wdmlat/internal/microbench"
 	"wdmlat/internal/mttf"
 	"wdmlat/internal/ospersona"
-	"wdmlat/internal/par"
 	"wdmlat/internal/report"
 	"wdmlat/internal/rma"
 	"wdmlat/internal/workload"
@@ -121,24 +120,29 @@ func main() {
 	}})
 
 	// The non-campaign pipelines (throughput script, microbenchmarks,
-	// interactive response) run concurrently with the pool.
+	// interactive response) run concurrently with the pool, one goroutine
+	// per OS, at most -jobs of them at a time. Each writes only its own
+	// slot, so the results do not depend on the bound.
 	var (
-		auxWG sync.WaitGroup
-		tp    [2]core.ThroughputResult
-		mb    [2]microbench.Results
-		ir    [2]*interactive.Result
+		auxWG  sync.WaitGroup
+		auxSem = make(chan struct{}, run.Jobs())
+		tp     [2]core.ThroughputResult
+		mb     [2]microbench.Results
+		ir     [2]*interactive.Result
 	)
-	auxWG.Add(1)
-	go func() {
-		defer auxWG.Done()
-		par.ForEach(len(oses), *jobs, func(i int) {
+	for i := range oses {
+		auxWG.Add(1)
+		go func() {
+			defer auxWG.Done()
+			auxSem <- struct{}{}
+			defer func() { <-auxSem }()
 			tp[i] = core.RunThroughput(oses[i], 300, *seed)
 			mb[i] = microbench.Run(oses[i], *seed, 1000)
 			ir[i] = interactive.Run(interactive.Config{
 				OS: oses[i], Workload: workload.Business, Duration: *duration, Seed: *seed,
 			})
-		})
-	}()
+		}()
+	}
 
 	// --- Tables 1 and 2 (static) -------------------------------------------
 	emit(*outdir, "table1.txt", func(w io.Writer) error {

@@ -66,40 +66,6 @@ func TestWin2000BetaBehavesLikeNT(t *testing.T) {
 	}
 }
 
-// TestRunMergedPoolsDistributions: pooled runs accumulate samples and span,
-// and the pooled maximum dominates a single run's.
-func TestRunMergedPoolsDistributions(t *testing.T) {
-	cfg := core.RunConfig{OS: ospersona.Win98, Workload: workload.Games, Seed: 33, Duration: 20 * time.Second}
-	single := core.Run(cfg)
-	merged := core.RunMerged(cfg, 3)
-	if merged.Samples <= 2*single.Samples {
-		t.Fatalf("merged samples %d vs single %d", merged.Samples, single.Samples)
-	}
-	if merged.Observed <= 2*single.Observed {
-		t.Fatalf("merged span %d vs single %d", merged.Observed, single.Observed)
-	}
-	if merged.Thread[28].Max() < single.Thread[28].Max() {
-		t.Fatal("pooled max below the first replica's max")
-	}
-	if merged.Thread[28].N() != merged.Samples {
-		// Warmup samples are included in both; exact equality isn't
-		// guaranteed, but the histogram must carry all replicas.
-		if merged.Thread[28].N() < uint64(float64(merged.Samples)*0.9) {
-			t.Fatalf("pooled histogram too small: %d vs %d samples", merged.Thread[28].N(), merged.Samples)
-		}
-	}
-}
-
-// TestRunMergedSingleIsPlainRun: runs<=1 short-circuits.
-func TestRunMergedSingleIsPlainRun(t *testing.T) {
-	cfg := core.RunConfig{OS: ospersona.NT4, Workload: workload.Business, Seed: 34, Duration: 10 * time.Second}
-	a := core.Run(cfg)
-	b := core.RunMerged(cfg, 1)
-	if a.Samples != b.Samples || a.Thread[28].Max() != b.Thread[28].Max() {
-		t.Fatal("RunMerged(1) differs from Run")
-	}
-}
-
 // TestADSLFeasibility exercises Table 1's tightest row: ADSL tolerates only
 // 4-10 ms. A DPC-based ADSL datapump (3 ms cycles, triple buffered = 6 ms
 // tolerance) survives on NT under the games stress; the identical pump's

@@ -1,28 +1,25 @@
 package core
 
 // Multi-run merging: the paper collects hours of data per class; a single
-// virtual run resolves tails down to its own span. RunMerged pools several
-// independently-seeded runs into one result, which deepens the resolvable
+// virtual run resolves tails down to its own span. Pooling several
+// independently-seeded runs into one result (Merge) deepens the resolvable
 // tail in proportion to the pooled span (longer collections and more seeds
 // are statistically equivalent here because the generators are stationary).
-//
-// Replicas are independent simulations, so they fan out across a bounded
-// worker pool; determinism is preserved because each replica's seed depends
-// only on (base seed, replica index) and replicas are merged in index
-// order regardless of which worker finishes first.
+// Replicas are scheduled and collected by internal/campaign, which merges
+// them in replica-index order so the pooled result is independent of which
+// worker finished first.
 
 import (
 	"strconv"
 
 	"wdmlat/internal/causetool"
-	"wdmlat/internal/par"
 	"wdmlat/internal/sim"
 	"wdmlat/internal/stats"
 	"wdmlat/internal/workload"
 )
 
 // ReplicaSeed derives the seed of replica i of a pooled run. Replica 0
-// keeps the base seed (so RunMerged(cfg, 1) ≡ Run(cfg)); later replicas
+// keeps the base seed (so a one-replica pool is a plain Run); later replicas
 // hash their index against the base through SplitMix64. The earlier
 // additive scheme (base + i*7919) let campaigns with stride-offset base
 // seeds share entire replica streams (base 3 replica 1 == base 7922
@@ -32,34 +29,6 @@ func ReplicaSeed(base uint64, i int) uint64 {
 		return base
 	}
 	return sim.DeriveSeed(base, "replica/"+strconv.Itoa(i))
-}
-
-// RunMerged executes runs independent replicas of cfg (seeds derived per
-// replica via ReplicaSeed) on a worker pool bounded by GOMAXPROCS and
-// pools their distributions.
-func RunMerged(cfg RunConfig, runs int) *Result {
-	return RunMergedJobs(cfg, runs, 0)
-}
-
-// RunMergedJobs is RunMerged with an explicit worker bound (jobs <= 0
-// means GOMAXPROCS, jobs == 1 runs strictly serially). The result is
-// byte-identical for every jobs value.
-func RunMergedJobs(cfg RunConfig, runs, jobs int) *Result {
-	if runs <= 1 {
-		return Run(cfg)
-	}
-	cfg.fillDefaults() // resolve the default seed before deriving from it
-	results := make([]*Result, runs)
-	par.ForEach(runs, jobs, func(i int) {
-		next := cfg
-		next.Seed = ReplicaSeed(cfg.Seed, i)
-		results[i] = Run(next)
-	})
-	base := results[0]
-	for _, r := range results[1:] {
-		base.Merge(r)
-	}
-	return base
 }
 
 // Clone returns a deep copy of r that Merge can accumulate into without

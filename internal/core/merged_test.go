@@ -1,18 +1,11 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-	"time"
-
-	"wdmlat/internal/ospersona"
-	"wdmlat/internal/workload"
-)
+import "testing"
 
 // TestReplicaSeedDecorrelation is the regression test for the additive
-// seed scheme this package used to ship (base + i*7919): under it,
-// RunMerged at base 3 and RunMerged at base 7922 shared entire replica
-// streams (3 + 1*7919 == 7922 + 0*7919). The SplitMix64 derivation must
+// seed scheme this package used to ship (base + i*7919): under it, pooled
+// runs at base 3 and at base 7922 shared entire replica streams
+// (3 + 1*7919 == 7922 + 0*7919). The SplitMix64 derivation must
 // keep the replica seed sets of stride-offset bases fully disjoint.
 func TestReplicaSeedDecorrelation(t *testing.T) {
 	const runs = 16
@@ -31,54 +24,13 @@ func TestReplicaSeedDecorrelation(t *testing.T) {
 	if len(seen) != len(bases)*runs {
 		t.Fatalf("expected %d distinct replica seeds, got %d", len(bases)*runs, len(seen))
 	}
-	// Replica 0 keeps the base seed, so a single-run merge equals a plain
-	// run at the same seed.
+	// Replica 0 keeps the base seed, so a one-replica pool is a plain run
+	// at the same seed.
 	if ReplicaSeed(42, 0) != 42 {
 		t.Fatalf("replica 0 must keep the base seed")
 	}
 	// And the specific historical aliasing must be gone.
 	if ReplicaSeed(3, 1) == 7922 {
 		t.Fatalf("additive aliasing resurfaced: ReplicaSeed(3,1) == 7922")
-	}
-}
-
-// TestRunMergedJobsDeterministic: pooled replicas must merge to the same
-// result whether they ran serially or on a wide pool. DeepEqual over the
-// histograms is exact because the merge order (replica index) is fixed.
-func TestRunMergedJobsDeterministic(t *testing.T) {
-	cfg := RunConfig{
-		OS:       ospersona.Win98,
-		Workload: workload.Business,
-		Duration: 10 * time.Second,
-		Seed:     9,
-	}
-	serial := RunMergedJobs(cfg, 4, 1)
-	wide := RunMergedJobs(cfg, 4, 8)
-	if serial.Samples != wide.Samples || serial.Observed != wide.Observed {
-		t.Fatalf("pooled totals differ: serial %d/%d, wide %d/%d",
-			serial.Samples, serial.Observed, wide.Samples, wide.Observed)
-	}
-	if !reflect.DeepEqual(serial.DpcInt, wide.DpcInt) ||
-		!reflect.DeepEqual(serial.Thread, wide.Thread) ||
-		!reflect.DeepEqual(serial.HwToThread, wide.HwToThread) {
-		t.Fatalf("pooled histograms differ between jobs=1 and jobs=8")
-	}
-	if serial.Counters != wide.Counters {
-		t.Fatalf("pooled counters differ between jobs=1 and jobs=8")
-	}
-}
-
-// TestRunMergedSingleRunEqualsRun: runs <= 1 must be a plain Run.
-func TestRunMergedSingleRunEqualsRun(t *testing.T) {
-	cfg := RunConfig{
-		OS:       ospersona.NT4,
-		Workload: workload.Web,
-		Duration: 5 * time.Second,
-		Seed:     13,
-	}
-	a := Run(cfg)
-	b := RunMerged(cfg, 1)
-	if !reflect.DeepEqual(a.DpcInt, b.DpcInt) || a.Samples != b.Samples {
-		t.Fatalf("RunMerged(cfg, 1) differs from Run(cfg)")
 	}
 }

@@ -353,3 +353,166 @@ func TestFreqMillisRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCancelDuringBatch cancels a later same-instant event from inside
+// an earlier callback of the same batch: the victim must not fire, and the
+// batch must carry on past the hole.
+func TestEngineCancelDuringBatch(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	evs := make([]*Event, 5)
+	for i := range evs {
+		i := i
+		evs[i] = e.At(10, "batch", func(Time) {
+			fired = append(fired, i)
+			if i == 0 {
+				if !e.Cancel(evs[3]) {
+					t.Fatal("mid-batch cancel of a pending same-instant event failed")
+				}
+			}
+		})
+	}
+	e.RunUntil(10)
+	want := []int{0, 1, 2, 4}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+}
+
+// TestEngineSameInstantScheduleDuringBatch schedules at the current instant
+// from inside a batch: the child (and its own grandchild) must fire within
+// the same RunUntil call, after the previously queued events, in seq order.
+func TestEngineSameInstantScheduleDuringBatch(t *testing.T) {
+	e := NewEngine(1)
+	var fired []string
+	e.At(10, "a", func(now Time) {
+		fired = append(fired, "a")
+		e.At(now, "child", func(cn Time) {
+			fired = append(fired, "child")
+			e.At(cn, "grandchild", func(Time) {
+				fired = append(fired, "grandchild")
+			})
+		})
+	})
+	e.At(10, "b", func(Time) { fired = append(fired, "b") })
+	e.RunUntil(10)
+	want := []string{"a", "b", "child", "grandchild"}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if e.Now() != 10 || e.Pending() != 0 {
+		t.Fatalf("now = %d pending = %d, want 10 and 0", e.Now(), e.Pending())
+	}
+}
+
+// TestEngineRunUntilBoundary checks the inclusive edge: RunUntil(t) fires
+// events at exactly t but nothing one cycle later.
+func TestEngineRunUntilBoundary(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	e.At(100, "at", func(now Time) { fired = append(fired, now) })
+	e.At(101, "after", func(now Time) { fired = append(fired, now) })
+	e.RunUntil(100)
+	if len(fired) != 1 || fired[0] != 100 {
+		t.Fatalf("after RunUntil(100): fired %v, want [100]", fired)
+	}
+	if e.Now() != 100 || e.Pending() != 1 {
+		t.Fatalf("now = %d pending = %d, want 100 and 1", e.Now(), e.Pending())
+	}
+	e.RunUntil(101)
+	if len(fired) != 2 || fired[1] != 101 {
+		t.Fatalf("after RunUntil(101): fired %v, want [100 101]", fired)
+	}
+}
+
+// TestEngineFarFutureCancel covers long-lived events: events beyond
+// farHorizon fire at their exact timestamps, in order with nearer ones, and
+// stay cancellable both right after scheduling and once the clock has
+// closed in on them.
+func TestEngineFarFutureCancel(t *testing.T) {
+	e := NewEngine(1)
+	var fired []string
+	tA := Time(0).Add(farHorizon + 10)
+	tB := Time(0).Add(farHorizon - 1)
+	e.At(tA, "a", func(now Time) {
+		if now != tA {
+			t.Fatalf("a fired at %d, want %d", now, tA)
+		}
+		fired = append(fired, "a")
+	})
+	e.At(tB, "b", func(now Time) {
+		if now != tB {
+			t.Fatalf("b fired at %d, want %d", now, tB)
+		}
+		fired = append(fired, "b")
+	})
+	e.At(50, "c", func(Time) { fired = append(fired, "c") })
+
+	// d is cancelled while still far away.
+	d := e.At(Time(0).Add(2*farHorizon), "d", func(Time) { t.Fatal("cancelled d fired") })
+	if !e.Cancel(d) {
+		t.Fatal("cancel of far-future event failed")
+	}
+	// f is cancelled only once the clock is 50 cycles short of it.
+	tF := Time(0).Add(farHorizon + 100)
+	f := e.At(tF, "f", func(Time) { t.Fatal("cancelled f fired") })
+	e.RunUntil(tF - 50) // a, b and c fire
+	if !e.Cancel(f) {
+		t.Fatal("cancel of approached far-future event failed")
+	}
+	e.RunUntil(tF + 100)
+
+	want := []string{"c", "b", "a"}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+}
+
+// TestEngineSteadyStateAllocFreeMixedDeltas pins the zero-allocation
+// contract with three periodic sources of very different periods at once:
+// short ticks, a period past the 1<<16 carry boundary, and one beyond
+// farHorizon. Once the pool and heap slice are warm, neither Step nor
+// batched RunUntil may allocate.
+func TestEngineSteadyStateAllocFreeMixedDeltas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	e := NewEngine(1)
+	var tick, slow, far func(Time)
+	tick = func(Time) { e.After(100, "tick", tick) }
+	slow = func(Time) { e.After(70_000, "slow", slow) }
+	far = func(Time) { e.After(farHorizon+5, "far", far) }
+	e.After(100, "tick", tick)
+	e.After(70_000, "slow", slow)
+	e.After(farHorizon+5, "far", far)
+	for i := 0; i < 2000; i++ { // warm the pool and the heap slice
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(2000, func() { e.Step() }); avg != 0 {
+		t.Fatalf("steady-state Step allocates %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { e.RunUntil(e.Now().Add(5_000)) }); avg != 0 {
+		t.Fatalf("steady-state RunUntil allocates %v allocs/op, want 0", avg)
+	}
+}

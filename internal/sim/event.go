@@ -1,25 +1,5 @@
 package sim
 
-// eventState tracks where an Event record is in the pooling lifecycle.
-// Records cycle pending -> dead -> (recycled by the engine) -> pending; the
-// state field is what lets Cancel and Reschedule reject handles whose
-// records the engine has already reclaimed instead of corrupting the queue.
-type eventState uint8
-
-const (
-	// stateDead: the event fired or was cancelled. The record belongs to
-	// the engine's free list and may be reissued by the next At/After.
-	stateDead eventState = iota
-	// statePending: the event is queued (wheel or overflow heap).
-	statePending
-)
-
-// Event.level values beyond the wheel levels 0..wheelLevels-1.
-const (
-	levelNone     int8 = -1 // not queued
-	levelOverflow int8 = -2 // in the overflow heap
-)
-
 // Event is a scheduled callback in the simulation. Events are created with
 // Engine.At or Engine.After and may be cancelled before they fire. The zero
 // Event is not usable.
@@ -31,18 +11,10 @@ const (
 // handle — conventionally by nilling their field at the top of the event's
 // own callback — before the engine can hand the record to someone else.
 type Event struct {
-	when Time
-	seq  uint64 // tie-break: FIFO among events with equal timestamps
-
-	// Queue position. A pending event is either linked into a timing-wheel
-	// slot list (level 0..wheelLevels-1, next/prev intrusive links, slot
-	// recomputable from when) or sitting in the overflow heap
-	// (level == levelOverflow, index = heap position).
-	next, prev *Event
-	index      int32 // overflow-heap index, -1 when not in the heap
-	level      int8
-
-	state eventState
+	when  Time
+	seq   uint64 // tie-break: FIFO among events with equal timestamps
+	index int32  // position in the engine's heap; -1 once fired or cancelled
+	next  *Event // free-list link while the record is dead
 	fn    func(Time)
 	label string
 }
@@ -53,7 +25,7 @@ func (e *Event) When() Time { return e.when }
 
 // Pending reports whether the event is still in the queue (scheduled and
 // neither fired nor cancelled).
-func (e *Event) Pending() bool { return e != nil && e.state == statePending }
+func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
 // Label returns the debugging label attached at scheduling time.
 func (e *Event) Label() string {
@@ -63,15 +35,12 @@ func (e *Event) Label() string {
 	return e.label
 }
 
-// The overflow area is a 4-ary min-heap over (when, seq), stored in
-// Engine.overflow with each event carrying its own index for O(log n)
-// cancellation. It holds only the far future — events at least
-// overflowCutoff cycles ahead, which the timing wheel (wheel.go) cannot
-// reach — so its log n costs are off the hot periodic-timer paths. A 4-ary
-// layout halves the tree depth of a binary heap and keeps the four children
-// of a node in one or two cache lines of the backing slice; the
-// hand-specialized code also avoids the container/heap interface-call and
-// boxing overhead on every operation.
+// The event queue is a 4-ary min-heap over (when, seq), stored in
+// Engine.queue with each event carrying its own index for O(log n)
+// cancellation and rescheduling. A 4-ary layout halves the tree depth of a
+// binary heap and keeps the four children of a node in one or two cache
+// lines of the backing slice; the hand-specialized code also avoids the
+// container/heap interface-call and boxing overhead on every operation.
 
 // eventLess orders the heap: earlier timestamp first, scheduling order
 // (seq) breaking ties so same-instant events fire FIFO.
@@ -81,20 +50,20 @@ func eventLess(a, b *Event) bool {
 
 // heapPush appends ev and restores heap order.
 func (e *Engine) heapPush(ev *Event) {
-	e.overflow = append(e.overflow, ev)
-	i := len(e.overflow) - 1
+	e.queue = append(e.queue, ev)
+	i := len(e.queue) - 1
 	ev.index = int32(i)
 	e.siftUp(i)
 }
 
 // heapPopMin removes and returns the minimum element.
 func (e *Engine) heapPopMin() *Event {
-	q := e.overflow
+	q := e.queue
 	min := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = nil
-	e.overflow = q[:n]
+	e.queue = q[:n]
 	if n > 0 {
 		q[0] = last
 		last.index = 0
@@ -106,12 +75,12 @@ func (e *Engine) heapPopMin() *Event {
 
 // heapRemove deletes the element at index i.
 func (e *Engine) heapRemove(i int) {
-	q := e.overflow
+	q := e.queue
 	n := len(q) - 1
 	rem := q[i]
 	last := q[n]
 	q[n] = nil
-	e.overflow = q[:n]
+	e.queue = q[:n]
 	if i < n {
 		q[i] = last
 		last.index = int32(i)
@@ -128,7 +97,7 @@ func (e *Engine) heapFix(i int) {
 }
 
 func (e *Engine) siftUp(i int) {
-	q := e.overflow
+	q := e.queue
 	ev := q[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -146,7 +115,7 @@ func (e *Engine) siftUp(i int) {
 // siftDown reports whether the element moved, so heapFix can fall back to
 // siftUp when the key decreased.
 func (e *Engine) siftDown(i int) bool {
-	q := e.overflow
+	q := e.queue
 	n := len(q)
 	ev := q[i]
 	start := i
