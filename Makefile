@@ -133,9 +133,11 @@ determinism:
 # smoke: a fast end-to-end pass of the full reproduction pipeline on the
 # parallel campaign runner, with the observability surface on: progress to
 # stderr, a checkpoint store, and a telemetry snapshot that must show the
-# campaign actually counted its cells and checkpoints. The scratch
-# directory is removed on success so CI runners (and developers) stay
-# clean; it is left behind on failure for the post-mortem.
+# campaign actually counted its cells and checkpoints. Then latbench runs
+# every OS x class cell and must print, for each OS, the Table 3, Figure 6,
+# Figure 7 and §5.2 analyses of its matrix. The scratch directory is removed
+# on success so CI runners (and developers) stay clean; it is left behind
+# on failure for the post-mortem.
 smoke:
 	rm -rf results-smoke
 	$(GO) run ./cmd/reproduce -duration 5s -jobs 4 -outdir results-smoke -progress \
@@ -145,6 +147,17 @@ smoke:
 	@grep -q '"store_writes": [1-9]' results-smoke/telemetry.json || \
 		{ echo "smoke: telemetry has no checkpoint writes"; exit 1; }
 	@echo "smoke: telemetry snapshot has nonzero cell and checkpoint counters"
+	$(GO) run ./cmd/latbench -os all -workload all -duration 5s -jobs 4 > results-smoke/latbench.txt
+	@for os in 'Windows NT 4.0' 'Windows 98' 'Windows 2000'; do \
+		for h in 'Table 3: Observed Hourly, Daily and Weekly Worst Case' \
+			'Figure 6: MTTF to underrun, DPC-based datapump,' \
+			'Figure 7: MTTF to underrun, thread-based datapump,' \
+			'§5.2: Pseudo Worst-Case Design Latency (ms) per Error Budget,'; do \
+			grep -qF "$$h $$os" results-smoke/latbench.txt || \
+				{ echo "smoke: latbench printed no '$$h $$os' heading"; exit 1; }; \
+		done; \
+	done
+	@echo "smoke: latbench printed Table 3, Figure 6/7 and §5.2 for every OS"
 	rm -rf results-smoke
 
 # storm-smoke: a fast end-to-end pass of the interrupt-storm frontier

@@ -1,8 +1,12 @@
-// latbench reproduces Figure 4 (and, with -scanner, Figure 5): it runs the
-// WDM latency measurement tools on a simulated Windows NT 4.0 and/or
-// Windows 98 machine under the selected application stress loads and prints
-// the measured latency distributions as log-log series, a summary table,
-// and optionally CSV for external plotting.
+// latbench runs the WDM latency measurement tools on a simulated Windows
+// NT 4.0 and/or Windows 98 machine under the selected application stress
+// loads and analyses the measured OS x class matrix. Per OS it prints the
+// Figure 4 panels (with -scanner, Figure 5's scanner-on distributions) as
+// log-log series, then the Table 3 hourly/daily/weekly worst cases, the
+// Figure 6 and 7 MTTF-to-underrun tables for DPC-based (t = 4 ms) and
+// thread-based (t = 16 ms) softmodem datapumps, and the §5.2
+// pseudo-worst-case schedulability table. With -csv it prints only the
+// Figure 4 series, as CSV for external plotting.
 //
 // Usage:
 //
@@ -138,6 +142,10 @@ func main() {
 			}
 		}
 		osName := ospersona.ProfileFor(osSel).Name
+		poolDesc := fmt.Sprintf("%v x %d per class", *duration, *runs)
+		if pol != nil {
+			poolDesc = fmt.Sprintf("%v x adaptive(w=%g) per class", *duration, pol.RelWidth)
+		}
 		if *csv {
 			// In adaptive mode the CSV carries DKW confidence-band columns,
 			// so external plots can shade each CCDF curve's uncertainty.
@@ -169,6 +177,22 @@ func main() {
 		fmt.Println()
 		fatal(report.WriteLogLog(os.Stdout,
 			fmt.Sprintf("%s Kernel Mode Thread (RT Priority 24) Latency in Millisecs (Figure 4)", osName), t24Series))
+
+		// The analyses of the same cells: worst cases over usage
+		// horizons, buffer-underrun MTTF, and schedulability.
+		fmt.Println()
+		fatal(figures.Table3(results, fmt.Sprintf(
+			"Table 3: Observed Hourly, Daily and Weekly Worst Case %s Latencies (in ms.)\n"+
+				"(collection %s; horizons in heavy-use time via MS-Test compression)",
+			osName, poolDesc)).Write(os.Stdout))
+		fmt.Println()
+		fatal(figures.Figure6(results, osName).Write(os.Stdout))
+		fmt.Println()
+		fatal(figures.Figure7(results, osName).Write(os.Stdout))
+		fmt.Println("('>' marks censored points: no event beyond that slack was observed;")
+		fmt.Println(" the value is the lower bound supported by the collection span.)")
+		fmt.Println()
+		fatal(figures.Sec52Table(results, osName).Write(os.Stdout))
 	}
 	// Every cell was collected above; a residual Wait error means the
 	// checkpoint store could not persist something — fail loudly, or the

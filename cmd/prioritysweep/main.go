@@ -19,7 +19,6 @@ import (
 	"wdmlat/internal/core"
 	"wdmlat/internal/ospersona"
 	"wdmlat/internal/report"
-	"wdmlat/internal/workload"
 )
 
 func main() {
@@ -32,17 +31,9 @@ func main() {
 	cli.AddVersionFlag("prioritysweep", flag.CommandLine)
 	flag.Parse()
 
-	wl := workload.Business
-	switch *wlFlag {
-	case "business":
-	case "games":
-		wl = workload.Games
-	case "workstation":
-		wl = workload.Workstation
-	case "web":
-		wl = workload.Web
-	default:
-		fmt.Fprintf(os.Stderr, "prioritysweep: unknown workload %q\n", *wlFlag)
+	wl, err := cli.ParseWorkload(*wlFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "prioritysweep:", err)
 		os.Exit(1)
 	}
 

@@ -41,7 +41,6 @@ import (
 	"wdmlat/internal/figures"
 	"wdmlat/internal/interactive"
 	"wdmlat/internal/microbench"
-	"wdmlat/internal/mttf"
 	"wdmlat/internal/ospersona"
 	"wdmlat/internal/report"
 	"wdmlat/internal/rma"
@@ -309,18 +308,10 @@ func main() {
 	// Figures 6 and 7 from the Win98 distributions.
 	step("MTTF curves")
 	emit(*outdir, "figure6_dpc.txt", func(w io.Writer) error {
-		curves := map[workload.Class][]mttf.Point{}
-		for wl, r := range byOS[ospersona.Win98] {
-			curves[wl] = mttf.Sweep(r.DpcInt, r.UsageObserved(), 4, 0.25, 17)
-		}
-		return figures.MTTFTable(curves, "Figure 6: MTTF to underrun, DPC-based datapump, Windows 98 (t=4ms)").Write(w)
+		return figures.Figure6(byOS[ospersona.Win98], "Windows 98").Write(w)
 	})
 	emit(*outdir, "figure7_thread.txt", func(w io.Writer) error {
-		curves := map[workload.Class][]mttf.Point{}
-		for wl, r := range byOS[ospersona.Win98] {
-			curves[wl] = mttf.Sweep(r.HwToThread[r.HighPriority()], r.UsageObserved(), 16, 0.25, 7)
-		}
-		return figures.MTTFTable(curves, "Figure 7: MTTF to underrun, thread-based datapump, Windows 98 (t=16ms)").Write(w)
+		return figures.Figure7(byOS[ospersona.Win98], "Windows 98").Write(w)
 	})
 
 	// --- Figure 5: virus scanner --------------------------------------------
@@ -392,8 +383,7 @@ func main() {
 	emit(*outdir, "sec52_rma.txt", func(w io.Writer) error {
 		for _, osSel := range oses {
 			r := byOS[osSel][workload.Games]
-			h := r.HwToThread[r.HighPriority()]
-			block := rma.PseudoWorstCase(h, r.UsageObserved(), r.Freq.Cycles(time.Hour))
+			block := figures.DesignLatency(r, time.Hour)
 			fmt.Fprintf(w, "%s: pseudo worst case @ 1 drop/hour = %.2f ms\n", r.OSName, r.Freq.Millis(block))
 			task := rma.Task{Name: "softmodem", Period: r.Freq.FromMillis(8), Compute: r.Freq.FromMillis(2), Blocking: block}
 			if err := task.Validate(); err != nil {

@@ -1,17 +1,21 @@
 // Package figures builds the paper's tables and figures from experiment
-// results, as renderable report structures. The cmd/ tools and the one-shot
-// cmd/reproduce orchestrator share these builders, so every artifact has
-// exactly one construction path.
+// results, as renderable report structures. cmd/reproduce and cmd/latbench
+// share these builders, so every artifact has exactly one construction
+// path.
 package figures
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"wdmlat/internal/campaign"
 	"wdmlat/internal/core"
 	"wdmlat/internal/mttf"
 	"wdmlat/internal/ospersona"
 	"wdmlat/internal/report"
+	"wdmlat/internal/rma"
+	"wdmlat/internal/sim"
 	"wdmlat/internal/stats"
 	"wdmlat/internal/workload"
 )
@@ -65,10 +69,16 @@ func Table2(osSel ospersona.OS) *report.Table {
 }
 
 // Table3 builds the hourly/daily/weekly worst-case table from per-workload
-// results (all on the same OS).
+// results (all on the same OS). Classes absent from results are skipped.
 func Table3(results map[workload.Class]*core.Result, title string) *report.Table {
 	t := &report.Table{Title: title, Headers: []string{"OS Service"}}
+	var present []*core.Result
 	for _, wl := range workload.Classes {
+		r, ok := results[wl]
+		if !ok {
+			continue
+		}
+		present = append(present, r)
 		for _, h := range []string{"Hr", "Day", "Wk"} {
 			t.Headers = append(t.Headers, fmt.Sprintf("%s %s", ShortName(wl), h))
 		}
@@ -76,8 +86,7 @@ func Table3(results map[workload.Class]*core.Result, title string) *report.Table
 
 	addRow := func(label string, pick func(r *core.Result) *stats.Histogram, base func(r *core.Result) *stats.Histogram) {
 		row := []string{label}
-		for _, wl := range workload.Classes {
-			r := results[wl]
+		for _, r := range present {
 			h := pick(r)
 			if h == nil {
 				row = append(row, "n/a", "n/a", "n/a")
@@ -242,6 +251,77 @@ func MTTFTable(curves map[workload.Class][]mttf.Point, title string) *report.Tab
 			row = append(row, cell)
 		}
 		t.AddRow(row...)
+	}
+	return t
+}
+
+// Figure6 builds the Figure 6 table for one OS: MTTF to underrun of a
+// DPC-based softmodem datapump with t = 4 ms cycles and compute 25% of the
+// cycle, swept up to 17 buffers, from each class's DPC-interrupt latency.
+func Figure6(results map[workload.Class]*core.Result, osName string) *report.Table {
+	curves := map[workload.Class][]mttf.Point{}
+	for wl, r := range results {
+		curves[wl] = mttf.Sweep(r.DpcInt, r.UsageObserved(), 4, 0.25, 17)
+	}
+	return MTTFTable(curves, fmt.Sprintf("Figure 6: MTTF to underrun, DPC-based datapump, %s (t=4ms)", osName))
+}
+
+// Figure7 builds the Figure 7 table for one OS: MTTF to underrun of a
+// thread-based datapump with t = 16 ms cycles and compute 25% of the cycle,
+// swept up to 7 buffers, from each class's H/W-interrupt-to-high-priority-
+// thread latency.
+func Figure7(results map[workload.Class]*core.Result, osName string) *report.Table {
+	curves := map[workload.Class][]mttf.Point{}
+	for wl, r := range results {
+		curves[wl] = mttf.Sweep(r.HwToThread[r.HighPriority()], r.UsageObserved(), 16, 0.25, 7)
+	}
+	return MTTFTable(curves, fmt.Sprintf("Figure 7: MTTF to underrun, thread-based datapump, %s (t=16ms)", osName))
+}
+
+// DesignLatency is the §5.2 pseudo worst case of r's H/W-interrupt-to-
+// high-priority-thread latency: the level exceeded at most once per period.
+func DesignLatency(r *core.Result, period time.Duration) sim.Cycles {
+	return rma.PseudoWorstCase(r.HwToThread[r.HighPriority()], r.UsageObserved(), r.Freq.Cycles(period))
+}
+
+// Sec52Table builds the §5.2 schedulability table for one OS, one row per
+// class in results: the design latency at each rma.ErrorBudgets rate, and
+// the rate-monotonic response of rma.DriverTaskSet blocked by the 1
+// drop/hour design latency, or "infeasible" when some task cannot meet its
+// deadline even alone.
+func Sec52Table(results map[workload.Class]*core.Result, osName string) *report.Table {
+	t := &report.Table{
+		Title: fmt.Sprintf("§5.2: Pseudo Worst-Case Design Latency (ms) per Error Budget, %s\n"+
+			"(RMA: 8 ms softmodem datapump / 16 ms audio mixer / 33 ms video capture, blocked by the 1 drop/hour latency)", osName),
+		Headers: []string{"Workload"},
+	}
+	for _, b := range rma.ErrorBudgets {
+		t.Headers = append(t.Headers, b.Name)
+	}
+	t.Headers = append(t.Headers, "RMA response (ms)")
+	for _, wl := range workload.Classes {
+		r, ok := results[wl]
+		if !ok {
+			continue
+		}
+		row := []string{wl.String()}
+		for _, b := range rma.ErrorBudgets {
+			row = append(row, fmt.Sprintf("%.2f", r.Freq.Millis(DesignLatency(r, b.Period))))
+		}
+		res, schedulable, err := rma.Analyze(rma.DriverTaskSet(r.Freq, DesignLatency(r, time.Hour)))
+		if err != nil {
+			t.AddRow(append(row, "infeasible")...)
+			continue
+		}
+		resp := make([]string, len(res))
+		for i, x := range res {
+			resp[i] = fmt.Sprintf("%.1f", r.Freq.Millis(x.Response))
+		}
+		cell := strings.Join(resp, " / ")
+		if !schedulable {
+			cell += " (misses)"
+		}
+		t.AddRow(append(row, cell)...)
 	}
 	return t
 }

@@ -179,3 +179,61 @@ func TestPrecisionTable(t *testing.T) {
 		t.Fatalf("line count %d:\n%s", len(lines), out)
 	}
 }
+
+func TestTable3SkipsAbsentClasses(t *testing.T) {
+	r := core.Run(core.RunConfig{
+		OS: ospersona.Win98, Workload: workload.Games,
+		Duration: 5 * time.Second, Seed: 9,
+	})
+	out := render(t, Table3(map[workload.Class]*core.Result{workload.Games: r}, "Games only").Write)
+	if !strings.Contains(out, "Games Wk") || strings.Contains(out, "Office") || strings.Contains(out, "Web") {
+		t.Fatalf("header should name only the Games class:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3+7 { // title, header, separator + 7 service rows
+		t.Fatalf("line count %d:\n%s", len(lines), out)
+	}
+	if got := len(strings.Fields(lines[1])); got != 2+3*2 { // "OS Service" + 3 x "Games <h>"
+		t.Fatalf("header has %d fields, want one class:\n%s", got, out)
+	}
+}
+
+func TestFigure6And7Sweeps(t *testing.T) {
+	results := campaignResults(t)
+	for _, c := range []struct {
+		out   string
+		title string
+		rows  int
+	}{
+		{render(t, Figure6(results, "Windows 98").Write), "Figure 6: MTTF to underrun, DPC-based datapump, Windows 98 (t=4ms)", 16},
+		{render(t, Figure7(results, "Windows 98").Write), "Figure 7: MTTF to underrun, thread-based datapump, Windows 98 (t=16ms)", 6},
+	} {
+		lines := strings.Split(strings.TrimSpace(c.out), "\n")
+		if lines[0] != c.title || len(lines) != 3+c.rows {
+			t.Fatalf("want %q with %d buffer levels:\n%s", c.title, c.rows, c.out)
+		}
+	}
+}
+
+func TestSec52Table(t *testing.T) {
+	results := campaignResults(t)
+	out := render(t, Sec52Table(results, "Windows 98").Write)
+	for _, want := range []string{"§5.2", "Windows 98", "1 drop/5 min", "1 drop/day", "RMA response (ms)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 4+2 { // two title lines, header, separator + one row per class
+		t.Fatalf("line count %d:\n%s", len(lines), out)
+	}
+	for i, wl := range []workload.Class{workload.Business, workload.Games} {
+		row := lines[4+i]
+		if !strings.HasPrefix(row, wl.String()) {
+			t.Fatalf("row %d is not %v: %q", i, wl, row)
+		}
+		if !strings.Contains(row, "infeasible") && strings.Count(row, " / ") != 2 {
+			t.Fatalf("row %q has neither three RMA responses nor infeasible", row)
+		}
+	}
+}

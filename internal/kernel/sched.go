@@ -230,10 +230,6 @@ func (k *Kernel) serveOne(t *Thread) bool {
 		k.beginExecSegment(t)
 		return false
 
-	case reqCall:
-		req.fn()
-		t.needsResume = true
-
 	case reqYield:
 		t.needsResume = true
 

@@ -39,7 +39,6 @@ type reqKind int
 
 const (
 	reqExec reqKind = iota
-	reqCall
 	reqWait
 	reqExit
 	reqRaisedExec
@@ -58,7 +57,6 @@ const (
 type request struct {
 	kind    reqKind
 	cycles  sim.Cycles // reqExec, reqRaisedExec
-	fn      func()     // reqCall
 	obj     Waitable   // reqWait
 	objs    []Waitable // reqWaitAny
 	timeout sim.Cycles // reqWait/reqWaitAny; <0 means infinite

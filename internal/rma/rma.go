@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"wdmlat/internal/sim"
 	"wdmlat/internal/stats"
@@ -175,5 +176,34 @@ func DesignTask(name string, period, compute sim.Cycles, h *stats.Histogram, obs
 		Period:   period,
 		Compute:  compute,
 		Blocking: PseudoWorstCase(h, observed, errorPeriod),
+	}
+}
+
+// ErrorBudget is a permissible error rate: at most one dropped buffer per
+// Period.
+type ErrorBudget struct {
+	Name   string
+	Period time.Duration
+}
+
+// ErrorBudgets are the §5.2 error rates, from low-latency audio (one drop
+// every five or ten minutes) through a soft modem (one per hour) to a
+// high-reliability device (one per day).
+var ErrorBudgets = []ErrorBudget{
+	{"1 drop/5 min", 5 * time.Minute},
+	{"1 drop/10 min", 10 * time.Minute},
+	{"1 drop/hour", time.Hour},
+	{"1 drop/day", 24 * time.Hour},
+}
+
+// DriverTaskSet is a representative host-based signal processing task set:
+// soft modem datapump (8 ms period, 2 ms compute), low-latency audio mix
+// (16 ms, 15%) and video capture post-processing (33 ms, 20%), each blocked
+// by the design latency block.
+func DriverTaskSet(freq sim.Freq, block sim.Cycles) []Task {
+	return []Task{
+		{Name: "softmodem datapump", Period: freq.FromMillis(8), Compute: freq.FromMillis(2), Blocking: block},
+		{Name: "soft audio mixer", Period: freq.FromMillis(16), Compute: sim.Cycles(float64(freq.FromMillis(16)) * 0.15), Blocking: block},
+		{Name: "video capture", Period: freq.FromMillis(33), Compute: sim.Cycles(float64(freq.FromMillis(33)) * 0.20), Blocking: block},
 	}
 }

@@ -229,3 +229,27 @@ func TestQuickResponseMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestDriverTaskSet(t *testing.T) {
+	freq := sim.DefaultFreq
+	block := freq.FromMillis(1)
+	tasks := DriverTaskSet(freq, block)
+	if len(tasks) != 3 {
+		t.Fatalf("%d tasks", len(tasks))
+	}
+	if u := Utilization(tasks); math.Abs(u-0.60) > 1e-6 {
+		t.Fatalf("utilization = %v, want 0.60", u)
+	}
+	for _, task := range tasks {
+		if task.Blocking != block {
+			t.Fatalf("task %q blocking %v, want %v", task.Name, task.Blocking, block)
+		}
+	}
+	if _, ok, err := Analyze(tasks); err != nil || !ok {
+		t.Fatalf("set with 1 ms blocking should be schedulable: ok=%v err=%v", ok, err)
+	}
+	// An 8 ms design latency leaves the 8 ms datapump no room at all.
+	if _, _, err := Analyze(DriverTaskSet(freq, freq.FromMillis(8))); err == nil {
+		t.Fatal("8 ms blocking should make the datapump infeasible")
+	}
+}
