@@ -9,7 +9,7 @@ GO ?= go
 # Bench comparison inputs for bench-compare (override on the command line).
 # BASE is the committed current-round baseline; NEW defaults to a scratch
 # record so `make bench && make bench-compare` never dirties the baselines.
-BASE ?= BENCH_2.json
+BASE ?= BENCH_3.json
 NEW  ?= bench-new.json
 
 # Coverage floor (percent of statements) for the campaign runtime and the
@@ -51,10 +51,11 @@ race:
 # batch/boundary/far-future queue tests under -race, plus the zero-allocation
 # tests without -race (AllocsPerRun is meaningless under the race detector's
 # instrumented allocator, so those tests skip themselves there and must also
-# run uninstrumented).
+# run uninstrumented). The storm steady-state test rides on the uninstrumented
+# line: it pins the storm's per-packet path as allocation-free.
 substrate:
 	$(GO) test -race -run 'TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineMatchesReferenceEngine|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary|TestEngineFarFutureCancel|TestEngineSteadyStateAllocFreeMixedDeltas' ./internal/sim/
-	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestEngineSteadyStateAllocFreeMixedDeltas' ./internal/sim/
+	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestEngineSteadyStateAllocFreeMixedDeltas|TestStormSteadyStateAllocFree' ./internal/sim/ ./internal/workload/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume

@@ -13,6 +13,7 @@ import (
 	"wdmlat/internal/campaign"
 	"wdmlat/internal/core"
 	"wdmlat/internal/cpu"
+	"wdmlat/internal/hw"
 	"wdmlat/internal/interactive"
 	"wdmlat/internal/kernel"
 	"wdmlat/internal/microbench"
@@ -453,4 +454,29 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(samples), "matrix-samples")
+}
+
+// BenchmarkStormCell runs one interrupt-storm cell per NIC moderation mode:
+// NT4 idle under a 40000-pps packet stream for 2 s virtual, the cell the
+// stormsweep frontier probes. Arrivals re-arm once per offered packet, so
+// allocs/op here covers the storm's per-packet path (NIC receive and drain,
+// the NIC DPC, the arrival-latency histogram).
+func BenchmarkStormCell(b *testing.B) {
+	for _, mode := range []hw.Moderation{hw.ModeratePerWindow, hw.ModerateITR, hw.ModerateAdaptive} {
+		b.Run(mode.String(), func(b *testing.B) {
+			var delivered uint64
+			for i := 0; i < b.N; i++ {
+				r := core.Run(core.RunConfig{
+					OS:            ospersona.NT4,
+					Idle:          true,
+					StormPPS:      40000,
+					NICModeration: mode,
+					Duration:      2 * time.Second,
+					Seed:          uint64(i + 1),
+				})
+				delivered = r.Storm.Delivered
+			}
+			b.ReportMetric(float64(delivered), "delivered-pkts")
+		})
+	}
 }

@@ -102,7 +102,7 @@ func main() {
 		srvOpts.Fleet = &server.CoordinatorOptions{LeaseTTL: *leaseTTL, Poll: *poll}
 	}
 	srv := server.New(srvOpts)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
@@ -131,6 +131,27 @@ func main() {
 	<-ctx.Done() // ListenAndServe returned because Shutdown ran; let it finish
 	srv.Close()
 	_ = journal.Close()
+}
+
+// Connection deadlines. A client that opens a connection and never finishes
+// its request headers, or leaves a keep-alive connection idle, is dropped
+// instead of holding a file descriptor forever. There is deliberately no
+// ReadTimeout or WriteTimeout: GET /v1/campaigns/{id}/events streams NDJSON
+// for the campaign's whole life, and a whole-response deadline would cut
+// every long watch.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener-side server for handler h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func fail(err error) {

@@ -40,8 +40,14 @@ func (k *Kernel) workerBody(tc *ThreadContext) {
 		var w *WorkItem
 		tc.call(func() {
 			if len(k.workQ) > 0 {
+				// Shift down rather than reslice from the front: the
+				// queue is short, and keeping the backing array's base
+				// lets the next QueueWorkItem append in place instead
+				// of reallocating.
 				w = k.workQ[0]
-				k.workQ = k.workQ[1:]
+				n := copy(k.workQ, k.workQ[1:])
+				k.workQ[n] = nil
+				k.workQ = k.workQ[:n]
 			}
 		})
 		if w == nil {

@@ -29,10 +29,17 @@ type Storm struct {
 
 	slot      sim.Cycles // engine cycles per lattice slot
 	keepProb  float64
+	logSkip   float64 // math.Log(1-keepProb), the geometric gap's divisor
 	offered   uint64
 	samples   []BacklogSample
 	sampleGap sim.Cycles
 	on        bool
+
+	// arriveFn and sampleFn are s.arrive and s.sample bound once: a method
+	// value allocates a closure each time it is evaluated, and arrivals
+	// re-arm once per offered packet.
+	arriveFn func(sim.Time)
+	sampleFn func(sim.Time)
 }
 
 // stormBaseHz is the arrival lattice rate: 2^18 slots per second, giving
@@ -92,6 +99,11 @@ func NewStorm(m *ospersona.Machine, cfg StormConfig) *Storm {
 		keepProb:  cfg.PPS / stormBaseHz,
 		sampleGap: m.MS(cfg.SampleEveryMS),
 	}
+	// At the lattice ceiling keepProb is 1 and logSkip is -Inf; scheduleNext
+	// never divides by it there.
+	s.logSkip = math.Log(1 - s.keepProb)
+	s.arriveFn = s.arrive
+	s.sampleFn = s.sample
 	// One lattice slot in cycles: freq/2^18. At the default 300 MHz this is
 	// 1144 cycles — comfortably above 1, so distinct slots stay distinct.
 	s.slot = sim.Cycles(int64(m.Freq()) / stormBaseHz)
@@ -108,7 +120,7 @@ func (s *Storm) Start() {
 	}
 	s.on = true
 	s.scheduleNext()
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sample)
+	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
 }
 
 // Stop halts arrivals and sampling (pending engine events drain inert).
@@ -127,9 +139,9 @@ func (s *Storm) scheduleNext() {
 	gap := 1
 	if s.keepProb < 1 {
 		u := s.rng.Float64()
-		gap = 1 + int(math.Log(1-u)/math.Log(1-s.keepProb))
+		gap = 1 + int(math.Log(1-u)/s.logSkip)
 	}
-	s.m.Eng.After(sim.Cycles(gap)*s.slot, "storm.rx", s.arrive)
+	s.m.Eng.After(sim.Cycles(gap)*s.slot, "storm.rx", s.arriveFn)
 }
 
 func (s *Storm) arrive(sim.Time) {
@@ -154,5 +166,5 @@ func (s *Storm) sample(sim.Time) {
 		Delivered: s.m.NIC.Delivered(),
 		Dropped:   s.m.NIC.Dropped(),
 	})
-	s.m.Eng.After(s.sampleGap, "storm.sample", s.sample)
+	s.m.Eng.After(s.sampleGap, "storm.sample", s.sampleFn)
 }

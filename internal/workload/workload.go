@@ -149,15 +149,6 @@ func (g *Generator) delay(mean float64) sim.Cycles {
 	return d
 }
 
-// after schedules fn once after a mean-exponential delay, if still running.
-func (g *Generator) after(mean float64, label string, fn func()) {
-	g.m.Eng.After(g.delay(mean), label, func(sim.Time) {
-		if g.on {
-			fn()
-		}
-	})
-}
-
 // loop schedules fn repeatedly with mean-exponential spacing (ms). The tick
 // closure is allocated once per loop and re-armed on each firing, not
 // wrapped anew per event: generators keep a dozen loops ticking for the
