@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the full gate: vet, build, tests
 # with the race detector (the campaign worker pool now runs simulations —
 # each with its own kernel thread goroutines — concurrently, so races are a
-# first-class failure mode, not a theoretical one), plus the event-heap
+# first-class failure mode, not a theoretical one), plus the event-queue
 # oracle and steady-state allocation tests that guard the pooled substrate.
 
 GO ?= go
@@ -47,15 +47,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# substrate: the event-heap differential-oracle tests and the targeted
+# substrate: the event-queue differential-oracle tests and the targeted
 # batch/boundary/far-future queue tests under -race, plus the zero-allocation
 # tests without -race (AllocsPerRun is meaningless under the race detector's
 # instrumented allocator, so those tests skip themselves there and must also
-# run uninstrumented). The storm steady-state test rides on the uninstrumented
-# line: it pins the storm's per-packet path as allocation-free.
+# run uninstrumented). The storm steady-state test and the work-item
+# interference test ride on the uninstrumented line: they pin the storm's
+# per-packet path and ospersona's apply as allocation-free.
 substrate:
 	$(GO) test -race -run 'TestEngineHeapMatchesOracle|TestEngineFIFOUnderPooling|TestEngineMatchesReferenceEngine|TestEngineCancelDuringBatch|TestEngineSameInstantScheduleDuringBatch|TestEngineRunUntilBoundary|TestEngineFarFutureCancel|TestEngineSteadyStateAllocFreeMixedDeltas' ./internal/sim/
-	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestEngineSteadyStateAllocFreeMixedDeltas|TestStormSteadyStateAllocFree' ./internal/sim/ ./internal/workload/
+	$(GO) test -run 'TestEngineSteadyStateAllocFree|TestEngineSteadyStateAllocFreeMixedDeltas|TestStormSteadyStateAllocFree|TestApplyWorkItemAllocFree' ./internal/sim/ ./internal/workload/ ./internal/ospersona/
 
 # failure-paths: the campaign runner's fault-tolerance suite under -race —
 # panic isolation, graceful cancellation with checkpoint flush, resume

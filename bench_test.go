@@ -352,6 +352,33 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineShallowQueue measures the engine at the pending depth the
+// simulated machines actually hold (DESIGN.md §7.2: mean 4–8, max 5–10 in
+// every Figure 4 and storm cell): eight self-re-arming sources of distinct
+// periods keep eight events pending. Each op fires the next event, which
+// re-arms itself, and every fourth op also cancels and re-arms one source,
+// as a device timeout does.
+func BenchmarkEngineShallowQueue(b *testing.B) {
+	eng := sim.NewEngine(1)
+	const depth = 8
+	period := func(j int) sim.Cycles { return sim.Cycles(1000 + 337*j) }
+	var evs [depth]*sim.Event
+	var fns [depth]func(sim.Time)
+	for j := range fns {
+		fns[j] = func(sim.Time) { evs[j] = eng.After(period(j), "shallow", fns[j]) }
+		evs[j] = eng.After(period(j), "shallow", fns[j])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+		if i%4 == 0 {
+			j := i / 4 % depth
+			eng.Cancel(evs[j])
+			evs[j] = eng.After(period(j), "shallow", fns[j])
+		}
+	}
+}
+
 // BenchmarkHistogramAdd measures the latency-recording hot path in
 // isolation: samples are drawn ahead of time so the Pareto draw (dominated
 // by math.Pow) does not mask the bucketing cost being measured.

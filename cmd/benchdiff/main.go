@@ -9,7 +9,9 @@
 //
 // The tool prints a comparison table for every benchmark present in both
 // files and exits non-zero if any regression exceeds the policy, so it can
-// gate CI via `make bench-compare`.
+// gate CI via `make bench-compare`. When the records' goos/goarch/cpu lines
+// differ, it warns on stderr and in the table header that the ns/op column
+// compares two hosts; the gates themselves are unchanged.
 package main
 
 import (
@@ -46,17 +48,58 @@ type benchResult struct {
 	hasAlloc bool
 }
 
-// parseBenchFile reads a `go test -json` stream and returns results keyed by
-// benchmark name (GOMAXPROCS suffix stripped). Plain-text benchmark output
-// (without -json) is accepted too: lines starting with "Benchmark" parse the
-// same way.
-func parseBenchFile(path string) (map[string]benchResult, error) {
+// hostInfo is the host a record was taken on, from the goos:, goarch: and
+// cpu: header lines `go test -bench` prints before each package's results.
+type hostInfo struct {
+	goos, goarch, cpu string
+}
+
+func (h hostInfo) String() string {
+	return fmt.Sprintf("%q %s/%s", h.cpu, h.goos, h.goarch)
+}
+
+// benchRecord is one parsed bench record.
+type benchRecord struct {
+	host    hostInfo
+	results map[string]benchResult // keyed by benchmark name
+}
+
+// hostMismatch returns a warning naming both hosts when the records were
+// taken on different ones, and "" when their host lines agree.
+func hostMismatch(base, newer hostInfo) string {
+	if base == newer {
+		return ""
+	}
+	return fmt.Sprintf("WARNING: records come from different hosts: base %s, new %s; "+
+		"ns/op differences include the host difference", base, newer)
+}
+
+// parseHostLine records a goos:/goarch:/cpu: header line into h.
+func parseHostLine(h *hostInfo, line string) {
+	key, val, _ := strings.Cut(line, ":")
+	val = strings.TrimSpace(val)
+	switch key {
+	case "goos":
+		h.goos = val
+	case "goarch":
+		h.goarch = val
+	case "cpu":
+		h.cpu = val
+	}
+}
+
+// parseBenchFile reads a `go test -json` stream and returns its results
+// keyed by benchmark name (GOMAXPROCS suffix stripped) and its host lines.
+// Plain-text benchmark output (without -json) is accepted too: lines
+// starting with "Benchmark" parse the same way.
+func parseBenchFile(path string) (benchRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return benchRecord{}, err
 	}
 	defer f.Close()
 
+	var host hostInfo
 	out := make(map[string]benchResult)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -82,21 +125,24 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 				continue
 			}
 			// Otherwise the Output may itself be a full result line
-			// ("BenchmarkName-8  12  56.7 ns/op ..."): fall through.
+			// ("BenchmarkName-8  12  56.7 ns/op ...") or a host line:
+			// fall through.
 			line = text
 		}
-		r, ok := parseBenchLine(strings.TrimSpace(line))
+		line = strings.TrimSpace(line)
+		parseHostLine(&host, line)
+		r, ok := parseBenchLine(line)
 		if ok {
 			out[r.Name] = r
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return benchRecord{}, err
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark result lines found", path)
+		return benchRecord{}, fmt.Errorf("%s: no benchmark result lines found", path)
 	}
-	return out, nil
+	return benchRecord{host: host, results: out}, nil
 }
 
 // parseBenchLine parses one testing.B result line:
@@ -192,12 +238,14 @@ func compareRow(name string, b, n benchResult, maxRegress float64) rowVerdict {
 }
 
 // writeComparison renders the comparison table for every benchmark present
-// in both records (sorted by name) and returns the accumulated policy
-// failures. It errors when the two records share no benchmark: that is a
-// tooling mistake (wrong file, renamed suite), not a clean pass. basePath
-// and newPath only label the summary line.
-func writeComparison(w io.Writer, baseRes, newRes map[string]benchResult,
+// in both records (sorted by name), headed by the host-mismatch warning when
+// there is one, and returns the accumulated policy failures. It errors when
+// the two records share no benchmark: that is a tooling mistake (wrong
+// file, renamed suite), not a clean pass. basePath and newPath only label
+// the summary line.
+func writeComparison(w io.Writer, base, newer benchRecord,
 	basePath, newPath string, maxRegress float64) ([]string, error) {
+	baseRes, newRes := base.results, newer.results
 	names := make([]string, 0, len(baseRes))
 	for name := range baseRes {
 		if _, ok := newRes[name]; ok {
@@ -209,6 +257,9 @@ func writeComparison(w io.Writer, baseRes, newRes map[string]benchResult,
 		return nil, fmt.Errorf("no common benchmarks between %s and %s", basePath, newPath)
 	}
 
+	if warn := hostMismatch(base.host, newer.host); warn != "" {
+		fmt.Fprintf(w, "%s\n\n", warn)
+	}
 	fmt.Fprintf(w, "%-52s %14s %14s %8s %16s\n",
 		"benchmark", "base ns/op", "new ns/op", "speedup", "allocs/op")
 	var failures []string
@@ -235,18 +286,21 @@ func main() {
 	cli.AddVersionFlag("benchdiff", flag.CommandLine)
 	flag.Parse()
 
-	baseRes, err := parseBenchFile(*base)
+	baseRec, err := parseBenchFile(*base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	newRes, err := parseBenchFile(*newer)
+	newRec, err := parseBenchFile(*newer)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
+	}
+	if warn := hostMismatch(baseRec.host, newRec.host); warn != "" {
+		fmt.Fprintln(os.Stderr, "benchdiff:", warn)
 	}
 
-	failures, err := writeComparison(os.Stdout, baseRes, newRes, *base, *newer, *maxRegress)
+	failures, err := writeComparison(os.Stdout, baseRec, newRec, *base, *newer, *maxRegress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)

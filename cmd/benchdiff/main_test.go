@@ -186,10 +186,76 @@ func TestWriteComparisonClean(t *testing.T) {
 func TestWriteComparisonNoCommon(t *testing.T) {
 	var out strings.Builder
 	_, err := writeComparison(&out,
-		map[string]benchResult{"BenchmarkA": res(1, 0, false)},
-		map[string]benchResult{"BenchmarkB": res(1, 0, false)},
+		benchRecord{results: map[string]benchResult{"BenchmarkA": res(1, 0, false)}},
+		benchRecord{results: map[string]benchResult{"BenchmarkB": res(1, 0, false)}},
 		"b", "n", 0.10)
 	if err == nil || !strings.Contains(err.Error(), "no common benchmarks") {
 		t.Fatalf("err = %v, want no-common-benchmarks error", err)
+	}
+}
+
+// hostHeader returns the host lines `go test -json -bench` emits ahead of a
+// package's results.
+func hostHeader(cpu string) []string {
+	return []string{
+		event("", "goos: linux\\n"),
+		event("", "goarch: amd64\\n"),
+		event("", "pkg: wdmlat\\n"),
+		event("", "cpu: "+cpu+"\\n"),
+	}
+}
+
+// Records that differ only in the cpu line (as BENCH_2.json and
+// BENCH_3.json do) get a warning naming both hosts at the head of the
+// table; the gates and their verdicts are unchanged.
+func TestWriteComparisonWarnsOnHostMismatch(t *testing.T) {
+	base := writeBenchJSON(t, "base.json", append(hostHeader("Intel(R) Xeon(R) Processor @ 2.10GHz"),
+		event("BenchmarkFast", "1000 100.0 ns/op 0 B/op 0 allocs/op"),
+		event("BenchmarkSlow", "500 200.0 ns/op 16 B/op 2 allocs/op"))...)
+	newer := writeBenchJSON(t, "new.json", append(hostHeader("Intel(R) Xeon(R) Processor"),
+		event("BenchmarkFast", "1000 101.0 ns/op 0 B/op 0 allocs/op"),
+		event("BenchmarkSlow", "500 300.0 ns/op 16 B/op 2 allocs/op"))...)
+	baseRec, err := parseBenchFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRec, err := parseBenchFile(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hostInfo{goos: "linux", goarch: "amd64", cpu: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	if baseRec.host != want {
+		t.Fatalf("base host = %+v, want %+v", baseRec.host, want)
+	}
+
+	var out strings.Builder
+	failures, err := writeComparison(&out, baseRec, newRec, "base.json", "new.json", 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := out.String()
+	if !strings.HasPrefix(table, "WARNING: records come from different hosts") {
+		t.Errorf("table does not open with the host warning:\n%s", table)
+	}
+	for _, want := range []string{
+		`base "Intel(R) Xeon(R) Processor @ 2.10GHz" linux/amd64`,
+		`new "Intel(R) Xeon(R) Processor" linux/amd64`,
+		"REGRESSION(time)",
+	} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table missing %q:\n%s", want, table)
+		}
+	}
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkSlow") {
+		t.Errorf("failures = %v, want only the BenchmarkSlow time regression", failures)
+	}
+
+	// The same host on both sides: no warning.
+	var same strings.Builder
+	if _, err := writeComparison(&same, baseRec, baseRec, "b", "b", 0.10); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(same.String(), "WARNING") {
+		t.Errorf("same-host pair warned:\n%s", same.String())
 	}
 }

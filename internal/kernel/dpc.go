@@ -91,9 +91,6 @@ func (c *DpcContext) SetTimer(t *Timer, delay sim.Cycles, dpc *DPC) { c.k.setTim
 // CompleteIrp completes an I/O request packet back to its originator.
 func (c *DpcContext) CompleteIrp(irp *IRP) { c.k.completeIrp(irp) }
 
-// QueueWorkItem schedules passive-level work on the kernel worker thread.
-func (c *DpcContext) QueueWorkItem(w *WorkItem) { c.k.QueueWorkItem(w) }
-
 // Kernel returns the owning kernel, for instrumentation-style drivers that
 // need read-only access (e.g. the cause tool reading the current frame).
 func (c *DpcContext) Kernel() *Kernel { return c.k }

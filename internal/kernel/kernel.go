@@ -153,7 +153,7 @@ type Kernel struct {
 	inDispatch bool
 
 	// Work-item queue (§4.2: serviced by an RT default priority thread).
-	workQ   []*WorkItem
+	workQ   []WorkItem
 	workSem *Semaphore
 	worker  *Thread
 

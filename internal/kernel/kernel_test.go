@@ -612,8 +612,7 @@ func TestWorkItemRunsOnWorkerAtDefaultRTPriority(t *testing.T) {
 	b := newBench(t, 1, false)
 	var ranOn string
 	done := false
-	b.k.QueueWorkItem(&kernel.WorkItem{
-		Name:   "wi",
+	b.k.QueueWorkItem(kernel.WorkItem{
 		Cycles: 10_000,
 		Fn: func(tc *kernel.ThreadContext) {
 			ranOn = tc.Thread().Name
@@ -646,7 +645,7 @@ func TestWorkerInterferesWithDefaultRTButNotHigh(t *testing.T) {
 		})
 		const burst = 3_000_000 // 10 ms work item
 		b.eng.At(100_000, "wi", func(sim.Time) {
-			b.k.QueueWorkItem(&kernel.WorkItem{Name: "burst", Cycles: burst})
+			b.k.QueueWorkItem(kernel.WorkItem{Cycles: burst})
 		})
 		// Signal while the worker is mid-burst, just after a quantum refresh
 		// so the round-robin wait is nearly a full quantum.

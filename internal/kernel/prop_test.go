@@ -193,7 +193,7 @@ func TestRandomStressDeterministic(t *testing.T) {
 			case 3:
 				k.InjectEpisode(LockScheduler, sim.Cycles(1+rng.Intn(200_000)), "VMM", "_X")
 			case 4:
-				k.QueueWorkItem(&WorkItem{Name: "wi", Cycles: sim.Cycles(rng.Intn(100_000))})
+				k.QueueWorkItem(WorkItem{Cycles: sim.Cycles(rng.Intn(100_000))})
 			}
 			eng.After(sim.Cycles(1000+rng.Intn(80_000)), "kick", kick)
 		}

@@ -453,6 +453,3 @@ func (tc *ThreadContext) CancelTimer(t *Timer) { tc.call(func() { tc.k.cancelTim
 
 // CompleteIrp completes an I/O request packet (IoCompleteRequest).
 func (tc *ThreadContext) CompleteIrp(irp *IRP) { tc.call(func() { tc.k.completeIrp(irp) }) }
-
-// QueueWorkItem schedules passive-level work on the kernel worker.
-func (tc *ThreadContext) QueueWorkItem(w *WorkItem) { tc.call(func() { tc.k.QueueWorkItem(w) }) }

@@ -9,17 +9,18 @@ import "wdmlat/internal/sim"
 // NT 4.0" (§4.2). Workloads enqueue work items to generate exactly that
 // interference.
 type WorkItem struct {
-	Name   string
 	Cycles sim.Cycles
 	// Fn, if non-nil, runs in the worker thread's context after the cost
 	// has been executed.
 	Fn func(tc *ThreadContext)
 }
 
-// QueueWorkItem appends w to the work queue and wakes the worker. Safe to
-// call from simulation-harness context and from ISR/DPC contexts.
-func (k *Kernel) QueueWorkItem(w *WorkItem) {
-	if w == nil || w.Cycles < 0 {
+// QueueWorkItem appends a copy of w to the work queue and wakes the worker.
+// The queue holds items by value, so queueing allocates nothing once its
+// backing array has grown to the deepest backlog. Safe to call from
+// simulation-harness context and from ISR/DPC contexts.
+func (k *Kernel) QueueWorkItem(w WorkItem) {
+	if w.Cycles < 0 {
 		panic("kernel: invalid work item")
 	}
 	k.workQ = append(k.workQ, w)
@@ -37,20 +38,21 @@ func (k *Kernel) Worker() *Thread { return k.worker }
 func (k *Kernel) workerBody(tc *ThreadContext) {
 	for {
 		tc.Wait(k.workSem)
-		var w *WorkItem
+		var w WorkItem
+		ok := false
 		tc.call(func() {
 			if len(k.workQ) > 0 {
 				// Shift down rather than reslice from the front: the
 				// queue is short, and keeping the backing array's base
 				// lets the next QueueWorkItem append in place instead
 				// of reallocating.
-				w = k.workQ[0]
+				w, ok = k.workQ[0], true
 				n := copy(k.workQ, k.workQ[1:])
-				k.workQ[n] = nil
+				k.workQ[n] = WorkItem{} // drop the Fn reference
 				k.workQ = k.workQ[:n]
 			}
 		})
-		if w == nil {
+		if !ok {
 			continue
 		}
 		if w.Cycles > 0 {

@@ -268,10 +268,7 @@ func (m *Machine) apply(r eventResponse, lockFrames, maskFrames frameSet, extra 
 		*extra += r.DpcWork.Draw(m.rng)
 	}
 	if r.WorkItemProb > 0 && r.WorkItem != nil && m.rng.Bool(r.WorkItemProb) {
-		m.Kernel.QueueWorkItem(&kernel.WorkItem{
-			Name:   "ospersona.work",
-			Cycles: r.WorkItem.Draw(m.rng),
-		})
+		m.Kernel.QueueWorkItem(kernel.WorkItem{Cycles: r.WorkItem.Draw(m.rng)})
 	}
 }
 

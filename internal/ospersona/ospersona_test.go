@@ -287,3 +287,34 @@ func TestMachineStringAndAccessors(t *testing.T) {
 		t.Fatalf("Now = %d at boot", m.Now())
 	}
 }
+
+// TestApplyWorkItemAllocFree pins the interference path that queues a
+// kernel work item as allocation-free on a warm machine: the kernel's work
+// queue holds items by value, so once its backing array has grown to the
+// backlog, queueing one more item costs nothing.
+func TestApplyWorkItemAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	m := build(t, NT4, Options{})
+	r := m.Profile.FileOp
+	r.MaskProb, r.LockProb = 0, 0
+	r.WorkItemProb = 1
+	const runs = 200
+	// Warm up: grow the queue to the backlog the measurement builds
+	// (AllocsPerRun adds one warm-up call), then let the worker drain it.
+	for i := 0; i <= runs; i++ {
+		m.apply(r, nil, nil, nil)
+	}
+	m.RunFor(m.MS(5000))
+	if n := m.Kernel.WorkQueueLen(); n != 0 {
+		t.Fatalf("worker left %d work items queued after 5 s", n)
+	}
+	allocs := testing.AllocsPerRun(runs, func() { m.apply(r, nil, nil, nil) })
+	if n := m.Kernel.WorkQueueLen(); n != runs+1 {
+		t.Fatalf("apply queued %d work items over %d calls, want one per call", n, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("apply allocates %v times per queued work item, want 0", allocs)
+	}
+}

@@ -6,13 +6,13 @@ import "fmt"
 // cancellable event queue. Events scheduled for the same instant fire in
 // FIFO order of scheduling, which keeps runs deterministic.
 //
-// The queue is a single 4-ary min-heap over (when, seq) (event.go). The
-// simulated machines keep only a handful of events pending at any moment —
-// one per armed device timer, deadline and quantum — so the heap is about
-// one level deep and every operation is a few comparisons (DESIGN.md §7.2).
+// The queue is one slice kept sorted by (when, seq), next event last
+// (event.go). The simulated machines keep only a handful of events pending
+// at any moment — one per armed device timer, deadline and quantum — so
+// every queue operation touches a few slots from the tail (DESIGN.md §7.2).
 //
 // The engine allocates nothing in steady state: fired and cancelled Event
-// records are recycled through a free list and the heap's backing slice is
+// records are recycled through a free list and the queue's backing slice is
 // reused, so a long-running simulation settles into a fixed working set no
 // matter how many events it dispatches. The price of pooling is a handle
 // discipline — see Event.
@@ -24,7 +24,7 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	nfired uint64
-	queue  []*Event // 4-ary min-heap over (when, seq), see event.go
+	queue  []*Event // sorted descending by (when, seq), see event.go
 	free   *Event   // dead records awaiting reuse, chained through next
 	rng    *RNG
 }
@@ -59,7 +59,7 @@ func (e *Engine) alloc() *Event {
 		ev.next = nil
 		return ev
 	}
-	return &Event{index: -1}
+	return &Event{}
 }
 
 // release returns a dead record to the pool. The callback is dropped so the
@@ -87,7 +87,7 @@ func (e *Engine) At(t Time, label string, fn func(Time)) *Event {
 	ev.fn = fn
 	ev.label = label
 	e.seq++
-	e.heapPush(ev)
+	e.queueInsert(ev)
 	return ev
 }
 
@@ -106,30 +106,9 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if !ev.Pending() {
 		return false
 	}
-	e.heapRemove(int(ev.index))
+	e.queueRemove(ev)
 	e.release(ev)
 	return true
-}
-
-// Reschedule moves a pending event to a new absolute time, preserving its
-// callback. The event must be pending: records are pooled, so a handle
-// whose event fired or was cancelled may already describe someone else's
-// event, and rescheduling it would corrupt the queue — Reschedule panics
-// instead. Re-arm by scheduling a fresh event.
-func (e *Engine) Reschedule(ev *Event, t Time) {
-	if ev == nil {
-		panic("sim: Reschedule of nil event")
-	}
-	if !ev.Pending() {
-		panic(fmt.Sprintf("sim: Reschedule of dead event %q: it already fired or was cancelled and its record may have been recycled", ev.label))
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling %q at %d before now %d", ev.label, t, e.now))
-	}
-	ev.when = t
-	ev.seq = e.seq
-	e.seq++
-	e.heapFix(int(ev.index))
 }
 
 // fire pops the earliest pending event, advances the clock to its timestamp
@@ -138,7 +117,7 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 // callback a race-free window; the event is already dead by then, so
 // Cancel on it is a no-op.
 func (e *Engine) fire() {
-	ev := e.heapPopMin()
+	ev := e.queuePop()
 	e.now = ev.when
 	e.nfired++
 	ev.fn(e.now)
@@ -157,12 +136,12 @@ func (e *Engine) Step() bool {
 
 // RunUntil fires events in timestamp order until the clock reaches t (events
 // at exactly t do fire) or the queue drains. The clock is left at t or at
-// the time of the last fired event, whichever is later. The heap top is
+// the time of the last fired event, whichever is later. The next event is
 // re-examined after every callback, so events a callback schedules at or
 // before t — including at the current instant — fire in the same call, in
 // seq order after those already queued.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].when <= t {
+	for n := len(e.queue); n > 0 && e.queue[n-1].when <= t; n = len(e.queue) {
 		e.fire()
 	}
 	if e.now < t {

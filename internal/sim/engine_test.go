@@ -54,6 +54,8 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestEngineCancelMiddleOfHeap cancels two events from the middle of the
+// queue, so the removal shifts records on both sides of them.
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
@@ -74,43 +76,6 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
-}
-
-func TestEngineReschedule(t *testing.T) {
-	e := NewEngine(1)
-	var at Time
-	ev := e.At(10, "x", func(now Time) { at = now })
-	e.Reschedule(ev, 50)
-	e.Drain(10)
-	if at != 50 {
-		t.Fatalf("fired at %d, want 50", at)
-	}
-}
-
-func TestEngineRescheduleFiredEventPanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.At(10, "x", func(Time) {})
-	e.Drain(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a fired (recycled) event should panic")
-		}
-	}()
-	e.Reschedule(ev, 80)
-}
-
-func TestEngineCancelThenReschedulePanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.At(10, "x", func(Time) {})
-	if !e.Cancel(ev) {
-		t.Fatal("cancel should succeed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a cancelled (recycled) event should panic")
-		}
-	}()
-	e.Reschedule(ev, 80)
 }
 
 // TestEngineFIFOUnderPooling exercises same-timestamp FIFO ordering across
@@ -159,7 +124,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	var tick func(Time)
 	tick = func(Time) { e.After(100, "tick", tick) }
 	e.After(100, "tick", tick)
-	for i := 0; i < 1000; i++ { // warm up pool and heap slice
+	for i := 0; i < 1000; i++ { // warm up pool and queue slice
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
@@ -492,7 +457,7 @@ func TestEngineFarFutureCancel(t *testing.T) {
 // TestEngineSteadyStateAllocFreeMixedDeltas pins the zero-allocation
 // contract with three periodic sources of very different periods at once:
 // short ticks, a period past the 1<<16 carry boundary, and one beyond
-// farHorizon. Once the pool and heap slice are warm, neither Step nor
+// farHorizon. Once the pool and queue slice are warm, neither Step nor
 // batched RunUntil may allocate.
 func TestEngineSteadyStateAllocFreeMixedDeltas(t *testing.T) {
 	if raceEnabled {
@@ -506,7 +471,7 @@ func TestEngineSteadyStateAllocFreeMixedDeltas(t *testing.T) {
 	e.After(100, "tick", tick)
 	e.After(70_000, "slow", slow)
 	e.After(farHorizon+5, "far", far)
-	for i := 0; i < 2000; i++ { // warm the pool and the heap slice
+	for i := 0; i < 2000; i++ { // warm the pool and the queue slice
 		e.Step()
 	}
 	if avg := testing.AllocsPerRun(2000, func() { e.Step() }); avg != 0 {

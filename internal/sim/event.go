@@ -11,12 +11,12 @@ package sim
 // handle — conventionally by nilling their field at the top of the event's
 // own callback — before the engine can hand the record to someone else.
 type Event struct {
-	when  Time
-	seq   uint64 // tie-break: FIFO among events with equal timestamps
-	index int32  // position in the engine's heap; -1 once fired or cancelled
-	next  *Event // free-list link while the record is dead
-	fn    func(Time)
-	label string
+	when   Time
+	seq    uint64 // tie-break: FIFO among events with equal timestamps
+	queued bool   // in the engine's queue: scheduled, not yet fired or cancelled
+	next   *Event // free-list link while the record is dead
+	fn     func(Time)
+	label  string
 }
 
 // When returns the virtual time at which the event is (or, for a dead
@@ -25,7 +25,7 @@ func (e *Event) When() Time { return e.when }
 
 // Pending reports whether the event is still in the queue (scheduled and
 // neither fired nor cancelled).
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.queued }
 
 // Label returns the debugging label attached at scheduling time.
 func (e *Event) Label() string {
@@ -35,113 +35,48 @@ func (e *Event) Label() string {
 	return e.label
 }
 
-// The event queue is a 4-ary min-heap over (when, seq), stored in
-// Engine.queue with each event carrying its own index for O(log n)
-// cancellation and rescheduling. A 4-ary layout halves the tree depth of a
-// binary heap and keeps the four children of a node in one or two cache
-// lines of the backing slice; the hand-specialized code also avoids the
-// container/heap interface-call and boxing overhead on every operation.
+// The event queue is one slice, Engine.queue, kept sorted descending by
+// (when, seq) so the next event to fire is the last element. The machines
+// keep a handful of events pending (DESIGN.md §7.2) and the near-term ones
+// sit at the tail, so pop is a truncation, and insert and cancel walk from
+// the tail, moving each event they pass by one slot as they go. No record
+// stores its position, so a move rewrites nothing but the slice.
 
-// eventLess orders the heap: earlier timestamp first, scheduling order
-// (seq) breaking ties so same-instant events fire FIFO.
-func eventLess(a, b *Event) bool {
-	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
-}
-
-// heapPush appends ev and restores heap order.
-func (e *Engine) heapPush(ev *Event) {
-	e.queue = append(e.queue, ev)
-	i := len(e.queue) - 1
-	ev.index = int32(i)
-	e.siftUp(i)
-}
-
-// heapPopMin removes and returns the minimum element.
-func (e *Engine) heapPopMin() *Event {
-	q := e.queue
-	min := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
-	if n > 0 {
-		q[0] = last
-		last.index = 0
-		e.siftDown(0)
-	}
-	min.index = -1
-	return min
-}
-
-// heapRemove deletes the element at index i.
-func (e *Engine) heapRemove(i int) {
-	q := e.queue
-	n := len(q) - 1
-	rem := q[i]
-	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
-	if i < n {
-		q[i] = last
-		last.index = int32(i)
-		e.heapFix(i)
-	}
-	rem.index = -1
-}
-
-// heapFix restores order after the element at i changed key.
-func (e *Engine) heapFix(i int) {
-	if !e.siftDown(i) {
-		e.siftUp(i)
-	}
-}
-
-func (e *Engine) siftUp(i int) {
-	q := e.queue
-	ev := q[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(ev, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].index = int32(i)
-		i = p
+// queueInsert places ev in order: walking from the tail, it moves up every
+// event that fires no later than ev. ev carries the largest seq yet, so it
+// fires after every event already queued at its instant (FIFO).
+func (e *Engine) queueInsert(ev *Event) {
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].when <= ev.when; i-- {
+		q[i] = q[i-1]
 	}
 	q[i] = ev
-	ev.index = int32(i)
+	e.queue = q
+	ev.queued = true
 }
 
-// siftDown reports whether the element moved, so heapFix can fall back to
-// siftUp when the key decreased.
-func (e *Engine) siftDown(i int) bool {
+// queuePop removes and returns the next event to fire.
+func (e *Engine) queuePop() *Event {
+	n := len(e.queue) - 1
+	ev := e.queue[n]
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	ev.queued = false
+	return ev
+}
+
+// queueRemove deletes ev, which must be queued. It walks from the tail,
+// where the near-term timers and timeouts that get cancelled sit, moving
+// each event it passes down one slot until it has overwritten ev.
+func (e *Engine) queueRemove(ev *Event) {
 	q := e.queue
-	n := len(q)
-	ev := q[i]
-	start := i
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if eventLess(q[j], q[m]) {
-				m = j
-			}
-		}
-		if !eventLess(q[m], ev) {
-			break
-		}
-		q[i] = q[m]
-		q[i].index = int32(i)
-		i = m
+	n := len(q) - 1
+	carry := q[n]
+	for i := n - 1; carry != ev; i-- {
+		carry, q[i] = q[i], carry
 	}
-	q[i] = ev
-	ev.index = int32(i)
-	return i != start
+	q[n] = nil
+	e.queue = q[:n]
+	ev.queued = false
 }
